@@ -8,11 +8,11 @@ Measures what lifecycle tracing and the riding SLO/health monitor cost a
   ``fault`` channels (the spans/post-mortem input; the ``des`` channel
   stays off, so the kernel keeps its fast path);
 * **lifecycle+health** — the same tracer with a :class:`HealthMonitor`
-  teed into the sink (stride-drained batch fold, P² sketches, SLO rules
-  swept once per drain);
-* **lifecycle+ledger** — the same tracer with a :class:`HostLedger`
-  teed into the sink (the same stride-drained tee pattern folding
-  per-host counters, trust trajectory and turnaround sketches).
+  teed into the sink by a :class:`TeeSink` (stride-drained batch fold,
+  P² sketches, SLO rules swept once per drain);
+* **lifecycle+ledger** — the same tracer with a :class:`HostLedger` on
+  the same tee (folding per-host counters, trust trajectory and
+  turnaround sketches).
 
 Methodology.  End-to-end walls are timed in **interleaved rounds** (one
 run of each variant per round, best-of across rounds) so slow drift of
@@ -20,7 +20,7 @@ the host machine hits all variants alike.  The health monitor's own
 cost — an ~0.5 us/event marginal that end-to-end deltas cannot resolve
 against multi-millisecond host noise — is measured by **replaying the
 captured lifecycle event stream** through the exact tee the campaign
-uses (``HealthSink`` wrapping a ring) versus the plain ring, best-of
+uses (a ``TeeSink`` wrapping a ring) versus the plain ring, best-of
 many short repeats.  The replay exercises the identical code path the
 live campaign does (the digest-identity assertions below prove the
 monitor changes nothing else), so the difference *is* the monitor's
@@ -58,9 +58,9 @@ import os
 from time import perf_counter
 
 from repro.boinc.simulator import scaled_phase1
-from repro.obs.health import HealthMonitor, HealthSink
-from repro.obs.ledger import HostLedger, LedgerSink
-from repro.obs.tracer import RingSink, Tracer
+from repro.obs.health import HealthMonitor
+from repro.obs.ledger import HostLedger
+from repro.obs.tracer import RingSink, TeeSink, Tracer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -126,17 +126,16 @@ VARIANTS = [
 ]
 
 
-def _replay_marginal_s(events, make_tee):
+def _replay_marginal_s(events, make_fold):
     """The tee+fold cost of one observer on ``events``, via paired replays.
 
-    ``make_tee(ring)`` builds the observer's sink tee around a plain ring
-    (``HealthSink`` or ``LedgerSink`` — the identical forward-first
-    stride-drain pattern), so the measured difference is the observer's
-    cost on the exact code path the live campaign uses.
+    Each replay tees a fresh ``make_fold()`` around a plain ring with the
+    :class:`TeeSink` the campaign uses, so the measured difference is the
+    observer's cost on the exact code path the live campaign uses.
     """
 
     def through_tee():
-        sink = make_tee(RingSink(capacity=2_000_000))
+        sink = TeeSink(RingSink(capacity=2_000_000), [make_fold()])
         append = sink.append
         t0 = perf_counter()
         for event in events:
@@ -176,18 +175,16 @@ def test_bench_obs_overhead(record_artifact, record_bench_json):
     life_events = list(tracers["lifecycle"].sink.events)
     life_server = results["lifecycle"].server
 
-    def health_tee(ring):
+    def health_monitor():
         monitor = HealthMonitor()
         monitor.configure_campaign(
             life_server.n_workunits, life_server.config.max_reissues
         )
-        return HealthSink(monitor, ring)
+        return monitor
 
     marginals_s = {
-        "lifecycle+health": _replay_marginal_s(life_events, health_tee),
-        "lifecycle+ledger": _replay_marginal_s(
-            life_events, lambda ring: LedgerSink(HostLedger(), ring)
-        ),
+        "lifecycle+health": _replay_marginal_s(life_events, health_monitor),
+        "lifecycle+ledger": _replay_marginal_s(life_events, HostLedger),
     }
 
     rows = {}

@@ -29,14 +29,23 @@ Determinism contract
 Merge semantics
 ---------------
 
-* :class:`Telemetry` daily series are summed day-aligned; counters
-  (credit, shipped bytes, clamps, lazily-created ``fault.*``) add;
-  the run-hours histogram merges bucket-wise; per-result run-time lists
-  and shipments concatenate in shard order.
-* :class:`ValidationStats` merge field-wise (including the per-regime
-  validation counts), so :class:`CampaignMetrics` and
-  :meth:`CampaignResult.fault_report` are computed from campaign-global
-  numbers.
+Every shard artifact is a fold with a ``merge(other)`` method, and
+:func:`run_sharded` folds each shard into the parent's folds in shard
+order with one loop:
+
+* :meth:`Telemetry.merge` — daily series summed day-aligned, counters
+  added, histograms bucket-wise, run-time lists and shipments
+  concatenated;
+* :meth:`ValidationStats.merge` — field-wise sums (per-regime counts
+  included), so :class:`CampaignMetrics` and
+  :meth:`CampaignResult.fault_report` come from campaign-global numbers;
+* :meth:`HostLedger.merge <repro.obs.ledger.HostLedger.merge>` (with
+  ``ledger=``) — a union of disjoint host-id blocks;
+* :meth:`Profiler.merge <repro.obs.profile.Profiler.merge>` (with
+  ``profiler=``) — calls and seconds summed per section.
+
+Beyond the folds:
+
 * JSONL traces are interleaved by global ``(t_sim, shard, line)`` into
   the path the caller's tracer pointed at; workunit and host ids are
   campaign-global, so ``trace``/``report``/span reconstruction cannot
@@ -44,8 +53,8 @@ Merge semantics
 * ``completion_time`` is the max over shards once **all** shards
   completed, else ``None`` (the campaign-global definition).
 
-What does *not* cross shards: the streaming health monitor and the
-profiler (both are in-process observers); asking for them with
+What does *not* cross shards: the streaming health monitor, whose SLO
+hysteresis depends on global time order; asking for it with
 ``n_shards > 1`` raises instead of silently dropping data.
 """
 
@@ -55,7 +64,7 @@ import heapq
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -65,6 +74,8 @@ from ..obs.tracer import JsonlSink, Tracer
 from .validator import ValidationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..obs.ledger import HostLedger
+    from ..obs.profile import Profiler
     from .server import ServerConfig
     from .simulator import CampaignResult, Telemetry, VolunteerGridSimulation
 
@@ -74,8 +85,6 @@ __all__ = [
     "ShardOutput",
     "plan_shards",
     "run_sharded",
-    "merge_stats",
-    "merge_telemetry",
 ]
 
 #: host-id stride between shards: shard ``k`` numbers its hosts from
@@ -133,11 +142,8 @@ class ShardOutput:
     wall_s: float  #: the shard's own wall-clock execution time
     trace_path: str | None = None
     trace_counts: dict[str, int] | None = None
-    #: per-host ledger records when the campaign ran with ``ledger=``
-    #: (host ids are campaign-global and disjoint across shards, so the
-    #: merge is a pure union in shard order)
-    ledger_records: dict | None = None
-    ledger_campaigns: dict | None = None
+    ledger: "HostLedger | None" = None  #: when the parent has a ledger
+    profiler: "Profiler | None" = None  #: when the parent has a profiler
 
 
 def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec]:
@@ -216,13 +222,16 @@ def _execute_shard(
     library,
     cost_model,
     config,
-    spec: ShardSpec,
     trace_dir: str | None,
     trace_channels: frozenset | None,
-    ledger: bool = False,
+    observers: dict[str, type],
+    spec: ShardSpec,
 ) -> ShardOutput:
-    """Run one shard to completion and package its picklable output."""
-    from ..obs.ledger import HostLedger
+    """Run one shard to completion and package its picklable output.
+
+    ``observers`` maps a simulation keyword (``ledger``/``profiler``) to
+    the class of the parent's fold; each shard folds into a fresh one.
+    """
     from .simulator import VolunteerGridSimulation
 
     tracer = None
@@ -231,9 +240,9 @@ def _execute_shard(
         trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.jsonl")
         tracer = Tracer.to_jsonl(trace_path, channels=trace_channels)
     t0 = perf_counter()
+    folds = {name: cls() for name, cls in observers.items()}
     sim = VolunteerGridSimulation(
-        library, cost_model, config, tracer=tracer, shard=spec,
-        ledger=HostLedger() if ledger else None,
+        library, cost_model, config, tracer=tracer, shard=spec, **folds
     )
     result = sim.run()
     wall_s = perf_counter() - t0
@@ -253,40 +262,28 @@ def _execute_shard(
         wall_s=wall_s,
         trace_path=trace_path,
         trace_counts=trace_counts,
-        ledger_records=sim.ledger.records if sim.ledger is not None else None,
-        ledger_campaigns=(
-            sim.ledger.by_campaign if sim.ledger is not None else None
-        ),
+        **folds,
     )
 
 
-#: worker-process state installed by :func:`_init_worker`.  Under the
-#: POSIX ``fork`` start method the initargs are inherited by memory, so
-#: the (potentially large) library/cost-model matrices are never pickled;
+#: worker-process state installed by :func:`_init_worker`: every
+#: :func:`_execute_shard` argument but the spec.  Under the POSIX
+#: ``fork`` start method the initargs are inherited by memory, so the
+#: (potentially large) library/cost-model matrices are never pickled;
 #: per-task payloads are just the small :class:`ShardSpec`.
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(
-    library, cost_model, config, trace_dir, trace_channels, ledger=False
-) -> None:
+def _init_worker(*state) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (
-        library, cost_model, config, trace_dir, trace_channels, ledger
-    )
+    _WORKER_STATE = state
 
 
 def _run_shard_task(spec: ShardSpec) -> ShardOutput:
     """Module-level pool worker (must pickle), mirroring the docking
     engine's ``dock_couple(n_workers=N)`` fan-out pattern."""
     assert _WORKER_STATE is not None, "pool worker not initialized"
-    library, cost_model, config, trace_dir, trace_channels, ledger = (
-        _WORKER_STATE
-    )
-    return _execute_shard(
-        library, cost_model, config, spec, trace_dir, trace_channels,
-        ledger=ledger,
-    )
+    return _execute_shard(*_WORKER_STATE, spec)
 
 
 # -- merge -------------------------------------------------------------------
@@ -321,69 +318,6 @@ class MergedServerView:
     @property
     def all_done(self) -> bool:
         return self.completion_time is not None
-
-
-def merge_stats(dst: ValidationStats, src: ValidationStats) -> None:
-    """Field-wise sum (the counters are all additive across shards).
-
-    Public: the multi-campaign grid (:mod:`repro.multi`) folds
-    per-campaign stats into grid-global numbers with the same merge the
-    shard collator uses, so both aggregation paths stay one code path.
-    """
-    for f in fields(ValidationStats):
-        if f.name == "_by_regime":
-            for regime, count in src._by_regime.items():
-                dst._by_regime[regime] = dst._by_regime.get(regime, 0) + count
-        else:
-            setattr(dst, f.name, getattr(dst, f.name) + getattr(src, f.name))
-
-
-#: telemetry registry entries merged structurally (everything else in a
-#: campaign registry is a counter and merges by addition)
-_DAILY_SERIES = (
-    "campaign.daily_cpu_s",
-    "campaign.daily_results",
-    "campaign.daily_useful",
-)
-_HISTOGRAMS = ("campaign.run_active_hours",)
-
-
-def merge_telemetry(dst: "Telemetry", src: "Telemetry") -> None:
-    """Fold one shard's (or campaign's) telemetry into the accumulator.
-
-    Day-aligned: both registries were built over the same horizon, so
-    the daily series add element-wise.  Lazily-created counters (the
-    ``fault.*`` family) are created in the destination only when a shard
-    actually has them, preserving the monolithic contract that a
-    fault-free export carries no zero-valued fault counters.
-    """
-    for name in src.registry.names():
-        metric = src.registry.get(name)
-        if name in _DAILY_SERIES:
-            target = dst.registry.get(name)
-            if len(target.values) != len(metric.values):
-                raise ValueError(
-                    f"shard horizon mismatch merging {name}: "
-                    f"{len(metric.values)} vs {len(target.values)} days"
-                )
-            target.values += metric.values
-        elif name in _HISTOGRAMS:
-            target = dst.registry.get(name)
-            if target.bounds != metric.bounds:
-                raise ValueError(f"histogram bounds mismatch merging {name}")
-            for i, count in enumerate(metric.bucket_counts):
-                target.bucket_counts[i] += count
-            target.sum += metric.sum
-            target.count += metric.count
-        elif metric.kind == "counter":
-            dst.registry.counter(name, help=metric.help).inc(metric.value)
-        else:  # pragma: no cover - no other kinds live in campaign telemetry
-            raise TypeError(
-                f"cannot merge metric {name!r} of kind {metric.kind!r}"
-            )
-    dst.run_active_s.extend(src.run_active_s)
-    dst.run_reference_s.extend(src.run_reference_s)
-    dst.shipments.extend(src.shipments)
 
 
 def _iter_trace_lines(path: str, shard: int) -> Iterator[tuple]:
@@ -457,13 +391,6 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             "monolithically with n_shards=1 (drop --shards), or use the "
             "shard-mergeable host ledger (ledger=) instead"
         )
-    if sim.profiler is not None:
-        raise ValueError(
-            "unsupported artifact for a sharded campaign: the profiler "
-            "(--profile / profiler=) cannot aggregate wall times across "
-            "shard processes; run monolithically with n_shards=1 "
-            "(drop --shards) to profile"
-        )
     tracer, target_path, trace_channels = _resolve_trace_target(sim)
     trace_dir = (
         (os.path.dirname(target_path) or ".") if target_path is not None else None
@@ -473,23 +400,28 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     shard_config = sim.config.with_(shards=None)
     n_workers = min(plan.n_workers, plan.n_shards)
 
+    # The folds merged across shards; the parent's observers are None
+    # unless the caller asked for them.
+    merged = {
+        "telemetry": Telemetry(sim.horizon_s),
+        "stats": ValidationStats(),
+        "ledger": sim.ledger,
+        "profiler": sim.profiler,
+    }
+    observers = {
+        name: type(merged[name])
+        for name in ("ledger", "profiler")
+        if merged[name] is not None
+    }
+    state = (
+        sim.library, sim.cost_model, shard_config,
+        trace_dir, trace_channels, observers,
+    )
     if n_workers <= 1:
-        outputs = [
-            _execute_shard(
-                sim.library, sim.cost_model, shard_config, spec,
-                trace_dir, trace_channels,
-                ledger=sim.ledger is not None,
-            )
-            for spec in specs
-        ]
+        outputs = [_execute_shard(*state, spec) for spec in specs]
     else:
         with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(
-                sim.library, sim.cost_model, shard_config,
-                trace_dir, trace_channels, sim.ledger is not None,
-            ),
+            max_workers=n_workers, initializer=_init_worker, initargs=state,
         ) as pool:
             # submit order == shard order: the list() below is the
             # deterministic ordered merge, whatever order workers finish.
@@ -508,12 +440,11 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
                 n_lines += sum(out.trace_counts.values())
         tracer.sink.n_written = n_lines
 
-    telemetry = Telemetry(sim.horizon_s)
-    stats = ValidationStats()
     batch_completion: dict[int, float] = {}
     for out in outputs:
-        merge_telemetry(telemetry, out.telemetry)
-        merge_stats(stats, out.stats)
+        for name, fold in merged.items():
+            if fold is not None:
+                fold.merge(getattr(out, name))
         batch_completion.update(out.batch_completion)
 
     completed = [out.completion_time for out in outputs]
@@ -526,7 +457,7 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         batch_completion_s[batch] = t
 
     server = MergedServerView(
-        stats=stats,
+        stats=merged["stats"],
         n_workunits=sum(out.n_workunits for out in outputs),
         completion_time=completion_time,
         batch_completion=batch_completion,
@@ -534,16 +465,11 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     )
     fleet = None
     if sim.ledger is not None:
-        # Shard host-id blocks are disjoint (HOST_ID_STRIDE), so the
-        # merged ledger is a pure union absorbed in shard order.
-        for out in outputs:
-            if out.ledger_records is not None:
-                sim.ledger.absorb(out.ledger_records, out.ledger_campaigns)
         fleet = sim.ledger.finalize(
             completion_time if completion_time is not None else sim.horizon_s
         )
     result = CampaignResult(
-        telemetry=telemetry,
+        telemetry=merged["telemetry"],
         server=server,
         completion_time=completion_time,
         horizon_s=sim.horizon_s,

@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from .. import constants
 from ..faults import FaultPlan, FaultReport
-from ..obs import MetricsRegistry, Profiler, Tracer
-from ..obs.health import HealthMonitor, HealthSink, NullSink, SLOReport
-from ..obs.ledger import FleetReport, HostLedger, LedgerSink
+from ..obs import MetricsRegistry, Profiler, TeeSink, Tracer
+from ..obs.health import HealthMonitor, NullSink, SLOReport
+from ..obs.ledger import FleetReport, HostLedger
 from ..core.campaign import CampaignPlan
 from ..core.metrics import CampaignMetrics
 from ..core.packaging import PackagingPolicy, WorkUnitPlan
@@ -74,6 +74,15 @@ __all__ = [
 #: Device run-time histogram bucket bounds, in hours (the Figure 8 axis:
 #: the paper's mean is ~13 h for ~3.3 h reference workunits).
 RUN_HOURS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 13.0, 24.0, 48.0, 96.0)
+
+#: telemetry registry entries merged structurally (everything else in a
+#: campaign registry is a counter and merges by addition)
+_DAILY_SERIES = (
+    "campaign.daily_cpu_s",
+    "campaign.daily_results",
+    "campaign.daily_useful",
+)
+_HISTOGRAMS = ("campaign.run_active_hours",)
 
 
 class Telemetry:
@@ -214,6 +223,45 @@ class Telemetry:
         self.run_active_s.append(active_s)
         self.run_reference_s.append(reference_s)
         self._run_hours.observe(active_s / 3600.0)
+
+    def merge(self, other: "Telemetry") -> None:
+        """Fold one shard's (or campaign's) telemetry into this one.
+
+        Day-aligned: both registries were built over the same horizon, so
+        the daily series add element-wise.  Lazily-created counters (the
+        ``fault.*`` family) are created here only when ``other`` actually
+        has them, preserving the monolithic contract that a fault-free
+        export carries no zero-valued fault counters.
+        """
+        for name in other.registry.names():
+            metric = other.registry.get(name)
+            if name in _DAILY_SERIES:
+                target = self.registry.get(name)
+                if len(target.values) != len(metric.values):
+                    raise ValueError(
+                        f"shard horizon mismatch merging {name}: "
+                        f"{len(metric.values)} vs {len(target.values)} days"
+                    )
+                target.values += metric.values
+            elif name in _HISTOGRAMS:
+                target = self.registry.get(name)
+                if target.bounds != metric.bounds:
+                    raise ValueError(
+                        f"histogram bounds mismatch merging {name}"
+                    )
+                for i, count in enumerate(metric.bucket_counts):
+                    target.bucket_counts[i] += count
+                target.sum += metric.sum
+                target.count += metric.count
+            elif metric.kind == "counter":
+                self.registry.counter(name, help=metric.help).inc(metric.value)
+            else:  # pragma: no cover - campaign telemetry has no other kinds
+                raise TypeError(
+                    f"cannot merge metric {name!r} of kind {metric.kind!r}"
+                )
+        self.run_active_s.extend(other.run_active_s)
+        self.run_reference_s.extend(other.run_reference_s)
+        self.shipments.extend(other.shipments)
 
     def weekly_vftp(self) -> np.ndarray:
         """Average VFTP per project week (the Figure 6a series)."""
@@ -716,34 +764,28 @@ class VolunteerGridSimulation:
         tracer = self.tracer
         restore_sink = None
         if self.health is not None or self.ledger is not None:
-            # Tee the trace stream into the observers.  Without a
-            # user-supplied tracer, build an observer-only one: events
-            # feed the monitor/ledger and are then discarded (NullSink),
-            # restricted to the lifecycle channels so the DES kernel's
-            # high-rate events skip the emit path entirely.  With a
-            # user tracer, the tee inherits its channel filter — a
-            # filter that drops "host" starves the ledger of credit and
-            # trust events (documented in repro.obs.ledger).
+            # Tee the trace stream into the observers (one tee, ledger
+            # lane first).  Without a user-supplied tracer, build an
+            # observer-only one: events feed the monitor/ledger and are
+            # then discarded (NullSink), restricted to the lifecycle
+            # channels so the DES kernel's high-rate events skip the emit
+            # path entirely.  With a user tracer, the tee inherits its
+            # channel filter — a filter that drops "host" starves the
+            # ledger of credit and trust events (documented in
+            # repro.obs.ledger).
+            folds = [f for f in (self.ledger, self.health) if f is not None]
             if tracer is None:
                 channels = ["server", "agent", "fault"]
                 if self.health is not None:
                     channels.append("health")
                 if self.ledger is not None:
                     channels.append("host")
-                sink = NullSink()
-                if self.ledger is not None:
-                    sink = LedgerSink(self.ledger, sink)
-                if self.health is not None:
-                    sink = HealthSink(self.health, sink)
-                tracer = Tracer(sink=sink, channels=tuple(channels))
+                tracer = Tracer(
+                    sink=TeeSink(NullSink(), folds), channels=tuple(channels)
+                )
             else:
                 restore_sink = tracer.sink
-                sink = restore_sink
-                if self.ledger is not None:
-                    sink = LedgerSink(self.ledger, sink)
-                if self.health is not None:
-                    sink = HealthSink(self.health, sink)
-                tracer.sink = sink
+                tracer.sink = TeeSink(restore_sink, folds)
             if self.health is not None:
                 self.health.bind(tracer)
         # The kernel's vectorized fast path is only disabled by *its own*

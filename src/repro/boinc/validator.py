@@ -23,7 +23,7 @@ Accounting definitions (consistent with the paper's numbers — the 3.94M
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ValidationPolicy", "AdaptiveReplication", "ValidationStats"]
 
@@ -150,3 +150,14 @@ class ValidationStats:
     @property
     def validated_by_regime(self) -> dict[str, int]:
         return dict(self._by_regime)
+
+    def merge(self, other: "ValidationStats") -> None:
+        """Fold another shard's (or campaign's) counters in: all fields,
+        the per-regime validation counts included, are additive."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, f.name, mine + theirs)

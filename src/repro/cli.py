@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simu.add_argument(
         "--profile", action="store_true",
-        help="aggregate wall time per DES callback and print the summary",
+        help="aggregate wall time per setup phase and DES callback and "
+             "print the summary (with --shards: summed over the shards)",
     )
     simu.add_argument(
         "--faults", metavar="SPEC", default=None,
@@ -522,10 +523,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.health:
             print("error: --health needs the monolithic DES loop; "
                   "drop --shards or --health", file=sys.stderr)
-            return 2
-        if args.profile:
-            print("error: --profile cannot aggregate across shard "
-                  "processes; drop --shards or --profile", file=sys.stderr)
             return 2
         if args.report and args.trace is None:
             print("error: a sharded --report needs an on-disk trace; "

@@ -44,7 +44,6 @@ from ..boinc.agent import VolunteerAgent
 from ..boinc.credit import AccountingMode
 from ..boinc.server import GridServer, Instance, ServerConfig
 from ..boinc.simulator import CampaignResult, Telemetry, VolunteerGridSimulation
-from ..boinc.sharding import merge_stats, merge_telemetry
 from ..boinc.validator import ValidationPolicy, ValidationStats
 from ..core.packaging import PackagingPolicy
 from ..faults import ResultQuality, ServerUnavailable
@@ -376,16 +375,16 @@ class GridResult:
         """Campaign stats folded into one grid-global ValidationStats."""
         merged = ValidationStats()
         for result in self.campaigns.values():
-            merge_stats(merged, result.server.stats)
+            merged.merge(result.server.stats)
         return merged
 
     def merged_telemetry(self) -> Telemetry:
         """All telemetry (campaigns + grid-level) folded day-aligned."""
         merged = Telemetry(self.horizon_s)
         if self.grid_telemetry is not None:
-            merge_telemetry(merged, self.grid_telemetry)
+            merged.merge(self.grid_telemetry)
         for result in self.campaigns.values():
-            merge_telemetry(merged, result.telemetry)
+            merged.merge(result.telemetry)
         return merged
 
     def issued_share(self) -> dict[str, float]:

@@ -45,8 +45,8 @@ examples.
 """
 
 from .events import CHANNELS, EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
-from .health import HealthMonitor, HealthSink, SLOConfig, SLOReport
-from .ledger import FleetReport, HostLedger, HostRecord, LedgerSink
+from .health import HealthMonitor, SLOConfig, SLOReport
+from .ledger import FleetReport, HostLedger, HostRecord
 from .metrics import (
     Counter,
     DailySeries,
@@ -62,6 +62,7 @@ from .spans import SpanCampaign, SpanReconstructor, reconstruct, reconstruct_fil
 from .tracer import (
     JsonlSink,
     RingSink,
+    TeeSink,
     TraceEvent,
     Tracer,
     global_tracer,
@@ -77,13 +78,11 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "channel_of",
     "HealthMonitor",
-    "HealthSink",
     "SLOConfig",
     "SLOReport",
     "FleetReport",
     "HostLedger",
     "HostRecord",
-    "LedgerSink",
     "Counter",
     "DailySeries",
     "Gauge",
@@ -101,6 +100,7 @@ __all__ = [
     "reconstruct_file",
     "JsonlSink",
     "RingSink",
+    "TeeSink",
     "TraceEvent",
     "Tracer",
     "global_tracer",

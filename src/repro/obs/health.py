@@ -1,9 +1,9 @@
 """Streaming campaign health: quantile sketches and SLO rules.
 
 A :class:`HealthMonitor` rides the trace stream *during* a simulation —
-attached as a :class:`HealthSink` wrapped around the tracer's sink, so it
-sees every ``server.*`` / ``agent.*`` / ``fault.*`` event with zero extra
-emit sites — and maintains:
+a fold of a :class:`~repro.obs.tracer.TeeSink` wrapped around the
+tracer's sink, so it sees every ``server.*`` / ``agent.*`` / ``fault.*``
+event with zero extra emit sites — and maintains:
 
 - **P² quantile sketches** (:mod:`repro.obs.quantiles`) over the span
   latencies the offline reconstructor measures exactly: workunit makespan
@@ -38,14 +38,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .metrics import MetricsRegistry
-from .tracer import TraceEvent, Tracer
+from .tracer import TeeSink, TraceEvent, Tracer
 
 __all__ = [
     "SLOConfig",
     "SLORule",
     "SLOReport",
     "HealthMonitor",
-    "HealthSink",
     "NullSink",
 ]
 
@@ -208,10 +207,13 @@ class HealthMonitor:
         self._mk_samples: list[float] = []
         self._rep_samples: list[float] = []
         self._act_samples: list[float] = []
-        self._sk_makespan = self.sketches["health.makespan_s"]
-        self._sk_latency = self.sketches["health.result_latency_s"]
-        self._sk_report = self.sketches["health.report_delay_s"]
-        self._sk_active = self.sketches["health.active_hours"]
+        #: each sample buffer paired with the sketch it drains into
+        self._sample_sketches = (
+            (self._lat_samples, self.sketches["health.result_latency_s"]),
+            (self._mk_samples, self.sketches["health.makespan_s"]),
+            (self._rep_samples, self.sketches["health.report_delay_s"]),
+            (self._act_samples, self.sketches["health.active_hours"]),
+        )
         self._rule_starvation = self.rules["queue-starvation"]
         self._rule_deadline = self.rules["deadline-storm"]
         self._rule_burn = self.rules["reissue-burn"]
@@ -226,13 +228,13 @@ class HealthMonitor:
             "agent.complete": self._on_complete,
             "agent.idle": self._on_idle,
         }
-        self._sink: "HealthSink | None" = None
+        self._sink: TeeSink | None = None
 
     def bind(self, tracer: Tracer) -> None:
         """Attach the tracer used to emit ``health.*`` transition events."""
         self.tracer = tracer
 
-    def attach_sink(self, sink: "HealthSink") -> None:
+    def attach_sink(self, sink: TeeSink) -> None:
         """Register the tee so :meth:`finalize` can drain its buffer."""
         self._sink = sink
 
@@ -252,52 +254,25 @@ class HealthMonitor:
     def observe(self, event: TraceEvent) -> None:
         """Fold one event and evaluate the SLO rules at its timestamp.
 
-        The per-event path: transitions land with the exact timestamp of
-        the event that tipped the level.  Campaign runs go through
-        :meth:`observe_batch` instead, which amortizes the rule sweep
-        over a drain stride.
+        The per-event path, a batch of one: transitions land with the
+        exact timestamp of the event that tipped the level.  Campaign
+        runs feed :meth:`fold_batch` through the tee instead, which
+        amortizes the rule sweep over a drain.
         """
-        t = event.t_sim
-        if t is None:
-            return
-        handler = self._dispatch.get(event.etype)
-        if handler is not None:
-            self.n_observed += 1
-            self.t_last = t
-            handler(t, event.fields)
-            self._evaluate_rules(t)
-            if len(self._lat_samples) >= self.SKETCH_CHUNK or len(
-                self._mk_samples
-            ) >= self.SKETCH_CHUNK or len(
-                self._rep_samples
-            ) >= self.SKETCH_CHUNK or len(
-                self._act_samples
-            ) >= self.SKETCH_CHUNK:
-                self._drain_sketches()
+        if event.t_sim is not None and event.etype in self._dispatch:
+            self.fold_batch([event])
 
-    def observe_batch(self, events) -> None:
-        """Fold a batch of events (the :class:`HealthSink` stride).
+    def fold_batch(self, events: list[TraceEvent]) -> None:
+        """Fold a tee drain: events known to dispatch and carry a ``t_sim``.
 
         State handlers run per event; the SLO rule sweep runs **once** at
         the batch's final timestamp, so breach/clear transitions are
         detected at drain granularity (their events carry the drain-point
         ``t_sim``, which is still the simulation time of a real event —
-        at the default stride that is well under the sliding-window
-        resolution of every rule).
-        """
-        dispatch = self._dispatch
-        batch = [
-            e for e in events if e.etype in dispatch and e.t_sim is not None
-        ]
-        if batch:
-            self._fold_filtered(batch)
-
-    def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold events already known to dispatch and carry a ``t_sim``.
-
-        The :class:`HealthSink` drain lands here directly — its buffer
-        admits only dispatchable, timestamped events, so this loop can
-        skip every per-event guard and counter update.
+        at the tee's stride that is well under the sliding-window
+        resolution of every rule).  The :class:`TeeSink` lane admits only
+        dispatchable, timestamped events, so this loop skips every
+        per-event guard.
         """
         dispatch = self._dispatch
         for event in events:
@@ -306,18 +281,7 @@ class HealthMonitor:
         last = events[-1].t_sim
         self.t_last = last
         self._evaluate_rules(last)
-        if len(self._lat_samples) >= self.SKETCH_CHUNK:
-            self._sk_latency.observe_many(self._lat_samples)
-            self._lat_samples.clear()
-        if len(self._mk_samples) >= self.SKETCH_CHUNK:
-            self._sk_makespan.observe_many(self._mk_samples)
-            self._mk_samples.clear()
-        if len(self._rep_samples) >= self.SKETCH_CHUNK:
-            self._sk_report.observe_many(self._rep_samples)
-            self._rep_samples.clear()
-        if len(self._act_samples) >= self.SKETCH_CHUNK:
-            self._sk_active.observe_many(self._act_samples)
-            self._act_samples.clear()
+        self._drain_sketches(self.SKETCH_CHUNK)
 
     # one handler per lifecycle event type, bound in ``_dispatch``.  The
     # handlers mutate correlation state only; breach levels are read off
@@ -405,15 +369,11 @@ class HealthMonitor:
                 "health.slo_clear", t_sim=t, rule=rule, breached_s=breached_s,
             )
 
-    def _drain_sketches(self) -> None:
-        """Hand buffered samples to the sketches (arrival order)."""
-        for samples, sketch in (
-            (self._lat_samples, self._sk_latency),
-            (self._mk_samples, self._sk_makespan),
-            (self._rep_samples, self._sk_report),
-            (self._act_samples, self._sk_active),
-        ):
-            if samples:
+    def _drain_sketches(self, chunk: int = 1) -> None:
+        """Hand every sample list holding at least ``chunk`` samples to
+        its sketch (arrival order)."""
+        for samples, sketch in self._sample_sketches:
+            if len(samples) >= chunk:
                 sketch.observe_many(samples)
                 samples.clear()
 
@@ -530,67 +490,3 @@ class NullSink:
 
     def close(self) -> None:
         pass
-
-
-class HealthSink:
-    """Tee a tracer's event stream into a :class:`HealthMonitor`.
-
-    Wraps the tracer's real sink.  Hot-path contract, tuned so attaching
-    the monitor costs a small fraction of lifecycle tracing itself:
-
-    - every event is forwarded to the inner sink **immediately**, so the
-      trace/ring order is exactly the arrival order — buffering never
-      reorders or delays the real stream;
-    - only events the monitor actually folds (its dispatch-table etypes)
-      enter the drain buffer; everything else — ``agent.checkpoint``,
-      ``agent.report``, the monitor's own ``health.*`` emissions — costs
-      one frozenset probe and is done;
-    - the buffer drains into :meth:`HealthMonitor.observe_batch` every
-      ``stride`` events (and on :meth:`flush`/:meth:`close`; the monitor
-      drains it from ``finalize`` too), which runs the state handlers per
-      event but sweeps the SLO rules once per drain.
-
-    Consequently ``health.slo_breach``/``health.slo_clear`` events are
-    detected and appended at drain boundaries: their ``t_sim`` is the
-    simulation time of the last event in the drained batch.  The monitor
-    never re-enters the fold on its own emissions (``health.*`` etypes
-    are not in the dispatch table, so they forward without buffering).
-    """
-
-    #: drain stride: small enough that breach events stay timely in the
-    #: sink, large enough to amortize the per-event tee overhead
-    STRIDE = 64
-
-    def __init__(self, monitor: HealthMonitor, inner, stride: int = STRIDE) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.monitor = monitor
-        self.inner = inner
-        self.stride = stride
-        self._buffer: list[TraceEvent] = []
-        self._inner_append = inner.append
-        self._relevant = frozenset(monitor._dispatch)
-        monitor.attach_sink(self)
-
-    def append(self, event: TraceEvent) -> None:
-        self._inner_append(event)
-        if event.etype in self._relevant and event.t_sim is not None:
-            buffer = self._buffer
-            buffer.append(event)
-            if len(buffer) >= self.stride:
-                self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the monitor's batched fold."""
-        buffer = self._buffer
-        if buffer:
-            # Swap before draining: a fold hook may emit through the
-            # tracer and re-enter append() mid-iteration.  The buffer
-            # admits only dispatchable timestamped events, so the
-            # guard-free fold applies.
-            self._buffer = []
-            self.monitor._fold_filtered(buffer)
-
-    def close(self) -> None:
-        self.flush()
-        self.inner.close()

@@ -8,9 +8,10 @@ the :class:`~repro.boinc.validator.AdaptiveReplication` trust trajectory
 all vanish into aggregate counters.  This module keeps them.
 
 A :class:`HostLedger` rides the trace stream during a simulation exactly
-like the health monitor does — attached as a :class:`LedgerSink` tee
-around the tracer's sink, near-zero cost when disabled — and folds the
-lifecycle/fault events into one :class:`HostRecord` per host:
+like the health monitor does — a fold of a
+:class:`~repro.obs.tracer.TeeSink` around the tracer's sink, near-zero
+cost when disabled — and folds the lifecycle/fault events into one
+:class:`HostRecord` per host:
 
 * issue/result/validate/invalid/late counters, deadline timeouts,
   refused RPCs, reported CPU seconds and claimed credit;
@@ -37,10 +38,10 @@ campaign telemetry and the fault report (pinned by
 
 Like the health monitor, the ledger never touches simulation state or
 RNG streams: a ledger-enabled campaign is bit-identical in outcome to an
-unobserved one (golden-digest pinned).  Records are **shard-mergeable**:
-shards number their hosts from disjoint id blocks, so
-:func:`repro.boinc.sharding.run_sharded` recombines per-shard records
-into one fleet view identical for every worker count.
+unobserved one (golden-digest pinned).  Ledgers are **shard-mergeable**
+(:meth:`HostLedger.merge`): shards number their hosts from disjoint id
+blocks, so :func:`repro.boinc.sharding.run_sharded` recombines per-shard
+ledgers into one fleet view identical for every worker count.
 
 Caveat: a ledger teed onto a *user-supplied* tracer only hears the
 channels that tracer records — include ``"host"`` (and the lifecycle
@@ -55,9 +56,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .quantiles import QuantileSketch
-from .tracer import TraceEvent
+from .tracer import TeeSink, TraceEvent
 
-__all__ = ["HostRecord", "HostLedger", "LedgerSink", "FleetReport"]
+__all__ = ["HostRecord", "HostLedger", "FleetReport"]
 
 #: behavioral classes, in classification precedence order
 HOST_CLASSES = ("suspect-saboteur", "flaky", "straggler", "reliable")
@@ -187,7 +188,7 @@ class HostLedger:
         self._sab_pending: dict[tuple[int, int], int] = {}
         #: per-workunit hosts whose sabotage entered the quorum unexposed
         self._pending_bad: dict[int, list[int]] = {}
-        self._sink: "LedgerSink | None" = None
+        self._sink: TeeSink | None = None
         self._dispatch = {
             "server.issue": self._on_issue,
             "server.result": self._on_result,
@@ -210,32 +211,24 @@ class HostLedger:
             "host.credit": self._on_credit,
         }
 
-    def attach_sink(self, sink: "LedgerSink") -> None:
+    def attach_sink(self, sink: TeeSink) -> None:
         """Register the tee so :meth:`finalize` can drain its buffer."""
         self._sink = sink
+
+    def __getstate__(self) -> dict:
+        # A shard ships its ledger to the merge; the tee (and the trace
+        # file it wraps) stays in the process that ran the shard.
+        return {**self.__dict__, "_sink": None}
 
     # -- event fold ----------------------------------------------------------
 
     def observe(self, event: TraceEvent) -> None:
-        """Fold one event (the per-event path; campaigns use the sink)."""
-        if event.t_sim is None:
-            return
-        handler = self._dispatch.get(event.etype)
-        if handler is not None:
-            self.n_observed += 1
-            handler(event.t_sim, event.fields)
+        """Fold one event (the per-event path; campaigns use the tee)."""
+        if event.t_sim is not None and event.etype in self._dispatch:
+            self.fold_batch([event])
 
-    def observe_batch(self, events) -> None:
-        """Fold a batch of events (the :class:`LedgerSink` stride)."""
-        dispatch = self._dispatch
-        batch = [
-            e for e in events if e.etype in dispatch and e.t_sim is not None
-        ]
-        if batch:
-            self._fold_filtered(batch)
-
-    def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold events already known to dispatch and carry a ``t_sim``."""
+    def fold_batch(self, events: list[TraceEvent]) -> None:
+        """Fold a tee drain: events known to dispatch and carry a ``t_sim``."""
         dispatch = self._dispatch
         for event in events:
             dispatch[event.etype](event.t_sim, event.fields)
@@ -393,29 +386,26 @@ class HostLedger:
 
     # -- shard merge ---------------------------------------------------------
 
-    def absorb(
-        self,
-        records: dict[int, HostRecord],
-        by_campaign: dict[str, dict[str, int]] | None = None,
-    ) -> None:
-        """Fold one shard's records into this ledger (shard order).
+    def merge(self, other: "HostLedger") -> None:
+        """Fold another shard's finalized ledger into this one (shard order).
 
         Hosts from different shards come from disjoint id blocks
-        (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so this is a pure
-        union; a colliding host id falls back to
-        :meth:`HostRecord.merge`.
+        (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so records are a
+        pure union; a colliding host id falls back to
+        :meth:`HostRecord.merge`.  Per-campaign aggregates and the
+        folded-event count add.
         """
-        for host, rec in records.items():
+        for host, rec in other.records.items():
             mine = self.records.get(host)
             if mine is None:
                 self.records[host] = rec
             else:
                 mine.merge(rec)
-        if by_campaign:
-            for name, agg in by_campaign.items():
-                dst = self._campaign(name)
-                for key, value in agg.items():
-                    dst[key] = dst.get(key, 0) + value
+        for name, agg in other.by_campaign.items():
+            dst = self._campaign(name)
+            for key, value in agg.items():
+                dst[key] = dst.get(key, 0) + value
+        self.n_observed += other.n_observed
 
     # -- classification and the fleet report --------------------------------
 
@@ -649,46 +639,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-class LedgerSink:
-    """Tee a tracer's event stream into a :class:`HostLedger`.
-
-    The exact :class:`~repro.obs.health.HealthSink` contract: every event
-    forwards to the inner sink immediately; only dispatchable,
-    timestamped events enter the drain buffer; the buffer drains into the
-    ledger's guard-free batched fold every ``stride`` events (and on
-    flush/close; :meth:`HostLedger.finalize` drains it too).
-    """
-
-    #: drain stride, matched to the health sink's
-    STRIDE = 64
-
-    def __init__(self, ledger: HostLedger, inner, stride: int = STRIDE) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.ledger = ledger
-        self.inner = inner
-        self.stride = stride
-        self._buffer: list[TraceEvent] = []
-        self._inner_append = inner.append
-        self._relevant = frozenset(ledger._dispatch)
-        ledger.attach_sink(self)
-
-    def append(self, event: TraceEvent) -> None:
-        self._inner_append(event)
-        if event.etype in self._relevant and event.t_sim is not None:
-            buffer = self._buffer
-            buffer.append(event)
-            if len(buffer) >= self.stride:
-                self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the ledger's batched fold."""
-        buffer = self._buffer
-        if buffer:
-            # Swap before draining: a fold hook may re-enter append().
-            self._buffer = []
-            self.ledger._fold_filtered(buffer)
-
-    def close(self) -> None:
-        self.flush()
-        self.inner.close()
+#: kept because the repository benchmark (``perfbench/layers.py``) imports
+#: this name to time the ledger tee's ``append``
+LedgerSink = TeeSink

@@ -38,6 +38,13 @@ class Profiler:
             entry[0] += 1
             entry[1] += seconds
 
+    def merge(self, other: "Profiler") -> None:
+        """Fold another profiler's sections in (calls and seconds add)."""
+        for name, (calls, total) in other._sections.items():
+            entry = self._sections.setdefault(name, [0, 0.0])
+            entry[0] += calls
+            entry[1] += total
+
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
         """Time a ``with`` block into section ``name``."""

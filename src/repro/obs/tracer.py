@@ -4,7 +4,8 @@ A :class:`Tracer` turns instrumentation points scattered through the DES
 kernel, the grid server, the volunteer agents and the docking engine into
 typed :class:`TraceEvent` records carrying both simulation time and wall
 time.  Records flow into a pluggable sink — an in-memory ring buffer
-(:class:`RingSink`) or a streaming JSONL file (:class:`JsonlSink`) — and
+(:class:`RingSink`) or a streaming JSONL file (:class:`JsonlSink`),
+optionally teed into streaming folds (:class:`TeeSink`) — and
 per-event-type counts are kept regardless of sink capacity, so aggregate
 reconciliation (e.g. trace counts vs :class:`~repro.core.metrics.
 CampaignMetrics`) never depends on buffer size.
@@ -34,6 +35,7 @@ __all__ = [
     "TraceEvent",
     "RingSink",
     "JsonlSink",
+    "TeeSink",
     "Tracer",
     "read_trace",
     "iter_trace",
@@ -130,6 +132,72 @@ class JsonlSink:
         if not self._fh.closed:
             self._fh.flush()
             self._fh.close()
+
+
+#: events a :class:`TeeSink` lane buffers before draining into its fold:
+#: small enough that ``health.*`` transitions stay timely in the sink,
+#: large enough to amortize the per-event tee cost
+TEE_STRIDE = 64
+
+
+class TeeSink:
+    """Tee a tracer's event stream into streaming folds.
+
+    A *fold* is an observer with a ``_dispatch`` table (event type ->
+    handler), a guard-free ``fold_batch(events)`` and an
+    ``attach_sink(tee)`` hook its ``finalize()`` drains through —
+    :class:`~repro.obs.health.HealthMonitor` and
+    :class:`~repro.obs.ledger.HostLedger` are folds.  Contract:
+
+    - every event is forwarded to the inner sink **first**, so the
+      trace/ring order is exactly the arrival order;
+    - each fold owns a lane, in the order the folds were given, that
+      buffers only events in the fold's dispatch table carrying a
+      ``t_sim``; any other event costs one dict probe;
+    - a lane drains into ``fold_batch`` every :data:`TEE_STRIDE` of its
+      own events (and on :meth:`flush`/:meth:`close`).
+
+    The health monitor sweeps its SLO rules once per drain, so its
+    ``health.slo_breach``/``slo_clear`` events carry the ``t_sim`` of
+    the last event of the drained batch.  Those emissions re-enter
+    :meth:`append`; a lane's buffer is swapped out before it drains, and
+    ``health.*`` is in no dispatch table, so they forward unbuffered.
+    """
+
+    def __init__(self, inner, folds) -> None:
+        self.inner = inner
+        self._inner_append = inner.append
+        #: one ``[buffer, fold]`` lane per fold, in fold order
+        self._lanes = [[[], fold] for fold in folds]
+        #: event type -> the lanes admitting it (one probe per event)
+        self._routes: dict[str, list] = {}
+        for lane in self._lanes:
+            for etype in lane[1]._dispatch:
+                self._routes.setdefault(etype, []).append(lane)
+            lane[1].attach_sink(self)
+
+    def append(self, event: TraceEvent) -> None:
+        self._inner_append(event)
+        routes = self._routes
+        if event.etype in routes and event.t_sim is not None:
+            for lane in routes[event.etype]:
+                buffer = lane[0]
+                buffer.append(event)
+                if len(buffer) >= TEE_STRIDE:
+                    lane[0] = []  # swap before draining: folds may re-enter
+                    lane[1].fold_batch(buffer)
+
+    def flush(self) -> None:
+        """Drain every lane into its fold."""
+        for lane in self._lanes:
+            buffer = lane[0]
+            if buffer:
+                lane[0] = []
+                lane[1].fold_batch(buffer)
+
+    def close(self) -> None:
+        self.flush()
+        self.inner.close()
 
 
 class Tracer:

@@ -43,7 +43,7 @@ from ..boinc.server import GridServer
 from ..boinc.simulator import Telemetry
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
-from ..obs import HostLedger, LedgerSink, MetricsRegistry, Tracer
+from ..obs import HostLedger, MetricsRegistry, TeeSink, Tracer
 from ..obs.health import NullSink
 from ..obs.metrics import render_prometheus
 from .protocol import (
@@ -156,11 +156,11 @@ class SchedulerService:
         self._ledger_restore_sink = None
         if tracer is not None:
             self._ledger_restore_sink = tracer.sink
-            tracer.sink = LedgerSink(self.ledger, tracer.sink)
+            tracer.sink = TeeSink(tracer.sink, [self.ledger])
             server_tracer = tracer
         else:
             server_tracer = Tracer(
-                sink=LedgerSink(self.ledger, NullSink()),
+                sink=TeeSink(NullSink(), [self.ledger]),
                 channels=("server", "host"),
             )
         workunits = sim_model.materialize_workunits()

@@ -166,3 +166,26 @@ def test_instrumented_modules_cross_reference_the_doc():
         assert "docs/observability.md" in module.read_text(encoding="utf-8"), (
             f"{module.relative_to(REPO)} lost its observability cross-reference"
         )
+
+
+#: a backticked observability class name, optionally qualified or followed
+#: by a member (`repro.obs.TeeSink`, `HostLedger.merge`)
+_OBS_CLASS_RE = re.compile(
+    r"`(?:[\w.]*\.)?([A-Z]\w*(?:Sink|Monitor|Ledger))\b[^`]*`"
+)
+
+
+def test_documented_obs_classes_exist():
+    """Every `...Sink`/`...Monitor`/`...Ledger` class the docs name is an
+    attribute of ``repro.obs``, so a deleted class cannot linger there."""
+    import repro.obs
+
+    named = {
+        (path.name, name)
+        for path in sorted((REPO / "docs").glob("*.md"))
+        for name in _OBS_CLASS_RE.findall(path.read_text(encoding="utf-8"))
+    }
+    assert named, "no observability class is named in docs/*.md"
+    stale = sorted(f"{doc}: {name}" for doc, name in named
+                   if not hasattr(repro.obs, name))
+    assert not stale, f"docs name classes repro.obs does not have: {stale}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro import CampaignConfig, ShardPlan, Tracer, scaled_phase1
 from repro.boinc.server import ServerConfig
 from repro.boinc.validator import AdaptiveReplication, ValidationPolicy
 from repro.faults import FaultPlan
-from repro.obs import FleetReport, HostLedger
+from repro.obs import FleetReport, HealthMonitor, HostLedger, SLOConfig
 from repro.obs.tracer import iter_trace
 from repro.units import weeks
 
@@ -48,7 +49,7 @@ GOLDEN = {
 LIFECYCLE_CHANNELS = ("server", "agent", "fault")
 
 
-def _faulted_adaptive_campaign(ledger=True, tracer=None):
+def _faulted_adaptive_campaign(ledger=True, tracer=None, health=None):
     """A seconds-fast campaign exercising every ledger dimension: crashes,
     corruption, sabotage, adaptive trust streaks and spot checks."""
     return scaled_phase1(
@@ -62,6 +63,7 @@ def _faulted_adaptive_campaign(ledger=True, tracer=None):
         ),
         ledger=ledger,
         tracer=tracer,
+        health=health,
     )
 
 
@@ -170,6 +172,63 @@ class TestOfflineEquivalence:
             refolded.observe(event)
         fleet = refolded.finalize(result.ledger.t_end)
         assert fleet.as_dict() == result.ledger.as_dict()
+
+
+class TestBothObservers:
+    """Health monitor and ledger on one tracer: one tee, two lanes, and
+    each observer sees exactly what it sees alone."""
+
+    CHANNELS = LIFECYCLE_CHANNELS + ("host", "health")
+    #: thresholds low enough that this small campaign breaches and clears
+    #: rules, so the trace carries drain-timed ``health.*`` events
+    TIGHT = SLOConfig(
+        starvation_idle_polls=1, deadline_reissues=1, backlog_workunits=1,
+        burn_fraction=0.05,
+    )
+
+    def _run(self, tmp_path, name, **observers):
+        path = tmp_path / f"{name}.jsonl"
+        tracer = Tracer.to_jsonl(path, channels=self.CHANNELS)
+        result = _faulted_adaptive_campaign(tracer=tracer, **observers).run()
+        tracer.close()
+        lines = path.read_text(encoding="ascii").splitlines()
+        stripped = [re.sub(r'"t_wall":[^,}]*,?', "", line) for line in lines]
+        return result, stripped
+
+    def test_each_observer_matches_its_solo_run(self, tmp_path):
+        both, both_trace = self._run(
+            tmp_path, "both", health=HealthMonitor(self.TIGHT), ledger=True
+        )
+        health, health_trace = self._run(
+            tmp_path, "health", health=HealthMonitor(self.TIGHT), ledger=False
+        )
+        ledger, _ = self._run(tmp_path, "ledger", ledger=True)
+        assert not health.health.healthy
+        assert both.health.as_dict() == health.health.as_dict()
+        assert both.ledger.as_dict() == ledger.ledger.as_dict()
+        assert both_trace == health_trace
+
+    def test_both_on_reproduces_golden_digests(self, tmp_path):
+        tracer = Tracer.to_jsonl(
+            tmp_path / "trace.jsonl", channels=LIFECYCLE_CHANNELS
+        )
+        result = scaled_phase1(
+            scale=700, n_proteins=6, seed=42,
+            config=CampaignConfig(), tracer=tracer, health=True, ledger=True,
+        ).run()
+        tracer.close()
+        assert result.completion_time == GOLDEN["completion_time"]
+        digest = hashlib.sha256()
+        for e in iter_trace(tmp_path / "trace.jsonl"):
+            digest.update(
+                repr((e.etype, e.t_sim, tuple(sorted(e.fields.items())))).encode()
+            )
+        assert digest.hexdigest() == GOLDEN["trace_digest"]
+        registry = json.dumps(result.telemetry.registry.as_dict(), sort_keys=True)
+        assert (
+            hashlib.sha256(registry.encode()).hexdigest()
+            == GOLDEN["registry_digest"]
+        )
 
 
 class TestShardedFleetReport:

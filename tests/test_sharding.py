@@ -262,20 +262,6 @@ class TestIncompatibleRiders:
         ):
             sim.run()
 
-    def test_profiler_rejected(self):
-        from repro.obs import Profiler
-
-        config = CampaignConfig(shards=ShardPlan(n_shards=2))
-        sim = scaled_phase1(
-            scale=700, n_proteins=6, seed=42, config=config,
-            profiler=Profiler(),
-        )
-        with pytest.raises(
-            ValueError,
-            match=r"profiler .*across[\s\S]*shard processes.*n_shards=1",
-        ):
-            sim.run()
-
     def test_ring_sink_rejected(self):
         from repro.obs import RingSink
 
@@ -289,6 +275,27 @@ class TestIncompatibleRiders:
             match=r"ring trace .*JSONL path[\s\S]*n_shards=1",
         ):
             sim.run()
+
+
+class TestProfilerMerge:
+    """The profiler is a mergeable fold: every shard times into its own,
+    and the parent sums them section by section in shard order."""
+
+    def test_section_calls_identical_across_worker_counts(self):
+        from repro.obs import Profiler
+
+        calls = {}
+        for n_workers in (1, 2):
+            profiler = Profiler()
+            _run(2, n_workers, profiler=profiler)
+            calls[n_workers] = {
+                name: n for name, (n, _) in profiler.stats().items()
+            }
+        assert calls[1] == calls[2]
+        # one campaign run and one host set-up per shard
+        assert calls[1]["des.run"] == 2
+        assert calls[1]["setup.hosts"] == 2
+        assert any(name.startswith("des.VolunteerAgent") for name in calls[1])
 
 
 class TestServerIdBase:
